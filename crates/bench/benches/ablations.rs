@@ -1,15 +1,17 @@
 //! Ablation benchmarks for the design choices the implementation makes:
 //!
-//! * modular reduction strategy (generic division vs Barrett vs
-//!   Montgomery) on protocol-shaped exponentiations;
+//! * modular reduction strategy (generic division vs Montgomery) on
+//!   protocol-shaped exponentiations;
 //! * `g = N + 1` fast Paillier encryption vs the textbook general-`g`
 //!   scheme (the paper's OpenSSL implementation relies on the former);
 //! * CRT vs reference Paillier decryption;
 //! * classic 4-row garbling vs free-XOR on the selected-sum circuit;
 //! * Karatsuba vs schoolbook multiplication around the threshold.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pps_bignum::{Barrett, Montgomery, Uint};
+use pps_bignum::{Montgomery, MultiExpPlan, Uint};
 use pps_crypto::{GeneralPaillier, PaillierKeypair};
 use pps_gc::{garble, garble_free_xor, selected_sum_circuit};
 use rand::rngs::StdRng;
@@ -33,10 +35,6 @@ fn ablation_reduction_strategy(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("generic_division", |b| {
         b.iter(|| base.mod_pow(&exp, &n).unwrap());
-    });
-    let barrett = Barrett::new(n.clone()).unwrap();
-    g.bench_function("barrett", |b| {
-        b.iter(|| barrett.pow(&base, &exp));
     });
     let mont = Montgomery::new(n.clone()).unwrap();
     g.bench_function("montgomery", |b| {
@@ -98,8 +96,8 @@ fn ablation_garbling(c: &mut Criterion) {
     g.finish();
 }
 
-/// Server fold ablation: the paper's element-by-element loop vs Straus
-/// multi-exponentiation with a shared squaring chain.
+/// Server fold ablation: the paper's element-by-element loop vs the
+/// precomputed per-database plan, through the session as it serves.
 fn ablation_server_fold(c: &mut Criterion) {
     use pps_protocol::messages::{Hello, IndexBatch};
     use pps_protocol::{Database, FoldStrategy, Selection, ServerSession, SumClient};
@@ -130,40 +128,42 @@ fn ablation_server_fold(c: &mut Criterion) {
     .encode(&key)
     .unwrap();
 
+    // The plan is built once per database and shared, as the server
+    // does; only the per-query fold is timed.
+    let plan = Arc::new(MultiExpPlan::build(db.values()));
     let mut g = c.benchmark_group("ablation_server_fold_n64_512bit");
     g.sample_size(20);
-    for (name, strategy) in [
-        ("incremental", FoldStrategy::Incremental),
-        ("multiexp", FoldStrategy::MultiExp),
-        ("parallel_multiexp", FoldStrategy::ParallelMultiExp),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let mut s = ServerSession::with_fold(&db, strategy);
-                s.on_frame(&hello).unwrap();
-                s.on_frame(&batch).unwrap().unwrap()
-            });
+    g.bench_function("incremental", |b| {
+        b.iter(|| {
+            let mut s = ServerSession::with_fold(&db, FoldStrategy::Incremental);
+            s.on_frame(&hello).unwrap();
+            s.on_frame(&batch).unwrap().unwrap()
         });
-    }
+    });
+    g.bench_function("precomputed", |b| {
+        b.iter(|| {
+            let mut s = ServerSession::with_fold_plan(&db, Arc::clone(&plan)).unwrap();
+            s.on_frame(&hello).unwrap();
+            s.on_frame(&batch).unwrap().unwrap()
+        });
+    });
     g.finish();
 }
 
 /// Server fold ablation at deployment scale: n = 10k–100k index
-/// ciphertexts folded with each strategy, measured at the `fold_product`
-/// layer the session dispatches to. A small pool of real ciphertexts is
-/// cycled out to length n — the fold's cost depends only on the count
-/// and exponent widths, not on ciphertext distinctness — so setup stays
-/// seconds instead of minutes.
+/// ciphertexts folded by the paper's loop and by Straus
+/// multi-exponentiation (`fold_product`); the `fold_precompute` bench
+/// binary adds the precomputed plan at the same scale. A small pool of
+/// real ciphertexts is cycled out to length n — the fold's cost depends
+/// only on the count and exponent widths, not on ciphertext
+/// distinctness — so setup stays seconds instead of minutes.
 fn ablation_server_fold_scale(c: &mut Criterion) {
-    use pps_protocol::FoldStrategy;
-
     let mut rng = StdRng::seed_from_u64(8);
     let kp = PaillierKeypair::generate(512, &mut rng).unwrap();
     let key = &kp.public;
     let pool: Vec<_> = (0..64)
         .map(|w| key.encrypt_u64(w & 1, &mut rng).unwrap())
         .collect();
-    let threads = FoldStrategy::ParallelMultiExp.threads();
 
     let mut g = c.benchmark_group("ablation_server_fold_scale_512bit");
     g.sample_size(10);
@@ -183,9 +183,6 @@ fn ablation_server_fold_scale(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("multiexp", n), &n, |b, _| {
             b.iter(|| key.fold_product(&cts, &weights).unwrap());
-        });
-        g.bench_with_input(BenchmarkId::new("parallel_multiexp", n), &n, |b, _| {
-            b.iter(|| key.fold_product_parallel(&cts, &weights, threads).unwrap());
         });
     }
     g.finish();

@@ -167,7 +167,7 @@ fn main() {
         });
         check(&inc, "incremental");
 
-        // MultiExp: bit-serial Straus over the whole vector.
+        // Straus: bit-serial multi-exponentiation over the whole vector.
         let weights: Vec<Uint> = values.iter().map(|&x| Uint::from_u64(x)).collect();
         let (me, multiexp_fold_secs) = time(|| key.fold_product(&cts, &weights).expect("multiexp"));
         check(&me, "multiexp");

@@ -255,7 +255,7 @@ pps — private selected-sum queries over TCP
 
 USAGE:
   pps serve  --data FILE | --random N   [--listen ADDR] [--max-sessions K]
-             [--fold incremental|multiexp|parallel|precomputed]
+             [--fold incremental|precomputed]
              [--max-concurrent K] [--admission queue|refuse] [--session-timeout SECS] [--shutdown-after SECS]
              [--engine threaded|event] [--workers W]
              [--metrics-addr HOST:PORT] [--resume-ttl SECS] [--resume-capacity K]
@@ -378,8 +378,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 // amortizes: precomputed is its default.
                 None if sub == "shard-serve" => FoldStrategy::Precomputed,
                 None | Some("incremental") => FoldStrategy::Incremental,
-                Some("multiexp") => FoldStrategy::MultiExp,
-                Some("parallel") => FoldStrategy::ParallelMultiExp,
                 Some("precomputed") => FoldStrategy::Precomputed,
                 Some(other) => {
                     return Err(CliError::usage(format!("unknown fold strategy {other}")))
@@ -1443,7 +1441,7 @@ mod tests {
     #[test]
     fn parse_serve() {
         let c = parse_args(&args(
-            "serve --random 100 --listen 0.0.0.0:9 --fold multiexp",
+            "serve --random 100 --listen 0.0.0.0:9 --fold precomputed",
         ))
         .unwrap();
         assert_eq!(
@@ -1453,7 +1451,7 @@ mod tests {
                 random: Some(100),
                 listen: "0.0.0.0:9".into(),
                 max_sessions: None,
-                fold: FoldStrategy::MultiExp,
+                fold: FoldStrategy::Precomputed,
                 max_concurrent: None,
                 admission: Admission::Queue,
                 engine: ServeEngine::Threaded,
@@ -1467,12 +1465,8 @@ mod tests {
                 slow_query_ms: None,
             }
         );
-        match parse_args(&args("serve --random 8 --fold parallel")).unwrap() {
-            Command::Serve { fold, .. } => assert_eq!(fold, FoldStrategy::ParallelMultiExp),
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&args("serve --random 8 --fold precomputed")).unwrap() {
-            Command::Serve { fold, .. } => assert_eq!(fold, FoldStrategy::Precomputed),
+        match parse_args(&args("serve --random 8 --fold incremental")).unwrap() {
+            Command::Serve { fold, .. } => assert_eq!(fold, FoldStrategy::Incremental),
             other => panic!("{other:?}"),
         }
         match parse_args(&args("serve --random 8")).unwrap() {
@@ -1486,7 +1480,12 @@ mod tests {
             parse_args(&args("serve --data f --random 5")).is_err(),
             "not both"
         );
-        assert!(parse_args(&args("serve --random 5 --fold bogus")).is_err());
+        // `multiexp` and `parallel` named strategies that no longer exist.
+        for bad in ["bogus", "multiexp", "parallel"] {
+            let err = parse_args(&args(&format!("serve --random 5 --fold {bad}"))).unwrap_err();
+            assert_eq!(err.code, 2, "--fold {bad} is a usage error");
+            assert_eq!(err.message, format!("unknown fold strategy {bad}"));
+        }
     }
 
     #[test]
@@ -1652,10 +1651,10 @@ mod tests {
 
     #[test]
     fn parse_shard_serve() {
-        match parse_args(&args("shard-serve --random 16 --fold multiexp")).unwrap() {
+        match parse_args(&args("shard-serve --random 16 --fold incremental")).unwrap() {
             Command::Serve { shard, fold, .. } => {
                 assert!(shard, "shard-serve sets the worker flag");
-                assert_eq!(fold, FoldStrategy::MultiExp, "shares serve's flags");
+                assert_eq!(fold, FoldStrategy::Incremental, "shares serve's flags");
             }
             other => panic!("{other:?}"),
         }

@@ -82,7 +82,7 @@ fn serve_and_query_binaries_end_to_end() {
             "--max-sessions",
             "1",
             "--fold",
-            "multiexp",
+            "precomputed",
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())

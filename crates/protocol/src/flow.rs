@@ -11,18 +11,14 @@
 //! blocking wire, the orchestrator pumps it from worker threads, and
 //! the bytes on the wire are identical either way (PROTOCOL.md §12).
 
-use std::sync::Arc;
-
-use pps_bignum::MultiExpPlan;
 use pps_obs::TraceContext;
 use pps_transport::Frame;
 
-use crate::data::Database;
 use crate::error::ProtocolError;
 use crate::messages::{Hello, HelloAck, MsgType, Resume, ResumeAck, ShardHello};
 use crate::multidb::leg_blinding;
 use crate::resume::SessionTable;
-use crate::server::{FoldStrategy, ServerSession, ServerStats};
+use crate::server::{ServerSession, ServerStats};
 
 /// What one [`SessionFlow::on_frame`] step produced: zero or more reply
 /// frames (sent in order) and whether this step granted a resume.
@@ -42,9 +38,6 @@ pub struct FlowStep {
 /// simulated wires (which is why the type is public).
 pub struct SessionFlow<'a> {
     session: ServerSession<'a>,
-    db: &'a Database,
-    fold: FoldStrategy,
-    plan: Option<Arc<MultiExpPlan>>,
     table: &'a SessionTable,
     require_shard: bool,
     ticket: Option<u64>,
@@ -53,26 +46,11 @@ pub struct SessionFlow<'a> {
 }
 
 impl<'a> SessionFlow<'a> {
-    /// A flow awaiting its first frame. `plan` is `Some` exactly when
-    /// `fold` is [`FoldStrategy::Precomputed`] and was built from this
-    /// very database by the serve loop.
-    pub fn new(
-        db: &'a Database,
-        fold: FoldStrategy,
-        plan: Option<Arc<MultiExpPlan>>,
-        table: &'a SessionTable,
-        require_shard: bool,
-    ) -> Self {
-        let session = match &plan {
-            Some(plan) => ServerSession::with_fold_plan(db, Arc::clone(plan))
-                .expect("plan was built from this database"),
-            None => ServerSession::with_fold(db, fold),
-        };
+    /// A flow around a pristine `session`, awaiting its first frame. A
+    /// restored checkpoint keeps the session's database and fold.
+    pub fn new(session: ServerSession<'a>, table: &'a SessionTable, require_shard: bool) -> Self {
         SessionFlow {
             session,
-            db,
-            fold,
-            plan,
             table,
             require_shard,
             ticket: None,
@@ -170,12 +148,7 @@ impl<'a> SessionFlow<'a> {
             let restored = self
                 .table
                 .take(req.session_id)
-                .and_then(|cp| match &self.plan {
-                    Some(plan) => {
-                        ServerSession::resume_with_plan(self.db, Arc::clone(plan), cp).ok()
-                    }
-                    None => ServerSession::resume(self.db, self.fold, cp).ok(),
-                });
+                .and_then(|cp| self.session.restore(cp).ok());
             match restored {
                 Some(restored) => {
                     self.session = restored;

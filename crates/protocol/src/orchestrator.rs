@@ -50,6 +50,7 @@ use pps_transport::{Frame, NonBlockingWire, TransportError};
 
 use crate::error::ProtocolError;
 use crate::flow::SessionFlow;
+use crate::server::{Fold, ServerSession};
 use crate::tcp_server::{
     accept_backoff, is_eviction, AggregateStats, SessionDeadline, SessionEvent, TcpServer,
     MAX_CONSECUTIVE_ACCEPT_ERRORS,
@@ -179,7 +180,7 @@ pub(crate) fn serve_event(
     let clock = server.clock.clone();
     let start = clock.now();
     let checkpoints_evicted_before = server.resumption.evicted();
-    let plan = server.shared_plan();
+    let fold = server.session_fold();
     let obs = server.obs.as_ref();
     let mut agg = AggregateStats::default();
 
@@ -396,7 +397,7 @@ pub(crate) fn serve_event(
                             let now = clock.now();
                             activate(
                                 server,
-                                &plan,
+                                &fold,
                                 obs,
                                 on_event,
                                 &mut agg,
@@ -482,7 +483,7 @@ pub(crate) fn serve_event(
                             .record_duration(clock.now().duration_since(q.enqueued));
                     }
                     activate(
-                        server, &plan, obs, on_event, &mut agg, &mut conns, q.id, q.stream, q.peer,
+                        server, &fold, obs, on_event, &mut agg, &mut conns, q.id, q.stream, q.peer,
                         q.deadline, q.started,
                     );
                 }
@@ -722,7 +723,7 @@ pub(crate) fn serve_event(
 #[allow(clippy::too_many_arguments)]
 fn activate<'a>(
     server: &'a TcpServer,
-    plan: &Option<std::sync::Arc<pps_bignum::MultiExpPlan>>,
+    fold: &Fold,
     obs: Option<&crate::obs::ServerObs>,
     on_event: &(dyn Fn(SessionEvent<'_>) + Sync),
     agg: &mut AggregateStats,
@@ -770,9 +771,7 @@ fn activate<'a>(
         wire.set_metrics(obs.wire.clone());
     }
     let flow = SessionFlow::new(
-        &server.db,
-        server.fold,
-        plan.clone(),
+        ServerSession::folding(&server.db, fold.clone()),
         &server.resumption,
         server.require_shard,
     );

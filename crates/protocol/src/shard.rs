@@ -57,7 +57,7 @@ use crate::messages::{ShardHello, SizeReply, SizeRequest};
 use crate::multidb::MIN_BLINDING_KEY_BITS;
 use crate::obs::ShardObs;
 use crate::tcp_client::{
-    run_stream_query_raw, LegTrace, PresetQuery, RawQueryOutcome, TcpQueryConfig,
+    run_stream_query_raw, AttemptObserver, LegTrace, PresetQuery, RawQueryOutcome, TcpQueryConfig,
 };
 
 /// Width in bytes of each pairwise blinding seed the engine generates.
@@ -177,7 +177,7 @@ where
         config,
         &mut rng,
         Some(preset),
-        leg_trace.as_ref(),
+        leg_trace.as_ref().map(|l| l as &dyn AttemptObserver),
     )
 }
 

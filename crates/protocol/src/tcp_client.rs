@@ -40,7 +40,7 @@ use pps_transport::{
 };
 use rand::RngCore;
 
-use crate::client::{IndexSource, SumClient};
+use crate::client::{ClientSendStats, IndexSource, SumClient};
 use crate::data::Selection;
 use crate::error::ProtocolError;
 use crate::messages::{Hello, HelloAck, Resume, ResumeAck, SizeReply, SizeRequest};
@@ -140,6 +140,39 @@ pub(crate) struct PresetQuery {
     pub(crate) selection: Selection,
 }
 
+/// What the successful attempt of a query measured, handed to its
+/// [`AttemptObserver`].
+pub(crate) struct AttemptTiming {
+    /// Sequence number of the first batch this attempt sent: zero for a
+    /// full query, the server's `next_seq` for a resumed one.
+    pub(crate) first_seq: u64,
+    /// Preparation times of the batches this attempt sent.
+    pub(crate) sent: ClientSendStats,
+    /// Observer-clock instants bounding the batch stream (its writes
+    /// included).
+    pub(crate) stream_start_ns: u64,
+    pub(crate) stream_end_ns: u64,
+    /// Time spent decrypting the product.
+    pub(crate) decrypt: Duration,
+    /// Time blocked on the wire over the whole attempt.
+    pub(crate) blocked: Duration,
+}
+
+/// The one instrumentation hook of the attempt loop
+/// ([`run_stream_query_raw`]). The observed TCP query ([`QueryTrace`])
+/// and each shard leg ([`LegTrace`]) implement it, so both retry and
+/// resume exactly as the plain drivers do.
+pub(crate) trait AttemptObserver {
+    /// The clock the stream bounds are read from.
+    fn now_ns(&self) -> u64;
+    /// An attempt is about to connect.
+    fn attempt_started(&self) {}
+    /// An attempt failed with a retryable error, retried or not.
+    fn attempt_failed(&self) {}
+    /// The successful attempt's measurements.
+    fn succeeded(&self, timing: &AttemptTiming);
+}
+
 /// Client-side span instrumentation for one shard leg: the tracer the
 /// leg's phase spans go through (usually context-stamped by the traced
 /// fan-out) and the leg index used as their session tag.
@@ -148,17 +181,21 @@ pub(crate) struct LegTrace<'a> {
     pub(crate) leg: u64,
 }
 
-impl LegTrace<'_> {
-    /// Emits the leg's coarse three-phase decomposition for one
-    /// successful attempt: the batch-streaming wall
-    /// ([`Phase::ClientEncrypt`] — includes the writes it interleaves),
-    /// the wait for the product minus its decryption ([`Phase::Comm`]),
-    /// and the decryption itself ([`Phase::ClientDecrypt`]).
-    fn record_phases(&self, stream_start: u64, stream_end: u64, decrypt: Duration) {
+impl AttemptObserver for LegTrace<'_> {
+    fn now_ns(&self) -> u64 {
+        self.tracer.now_ns()
+    }
+
+    /// Emits the leg's coarse three-phase decomposition: the
+    /// batch-streaming wall ([`Phase::ClientEncrypt`] — includes the
+    /// writes it interleaves), the wait for the product minus its
+    /// decryption ([`Phase::Comm`]), and the decryption itself
+    /// ([`Phase::ClientDecrypt`]).
+    fn succeeded(&self, t: &AttemptTiming) {
         let end = self.tracer.now_ns();
-        let dec_ns = u64::try_from(decrypt.as_nanos())
+        let dec_ns = u64::try_from(t.decrypt.as_nanos())
             .unwrap_or(u64::MAX)
-            .min(end.saturating_sub(stream_end));
+            .min(end.saturating_sub(t.stream_end_ns));
         let span = |name: &str, phase, start_ns, end_ns| SpanRecord {
             name: name.to_string(),
             phase: Some(phase),
@@ -171,13 +208,67 @@ impl LegTrace<'_> {
         self.tracer.record_span(span(
             "leg_encrypt_stream",
             Phase::ClientEncrypt,
-            stream_start,
-            stream_end,
+            t.stream_start_ns,
+            t.stream_end_ns,
+        ));
+        self.tracer.record_span(span(
+            "leg_wire_wait",
+            Phase::Comm,
+            t.stream_end_ns,
+            end - dec_ns,
         ));
         self.tracer
-            .record_span(span("leg_wire_wait", Phase::Comm, stream_end, end - dec_ns));
-        self.tracer
             .record_span(span("leg_decrypt", Phase::ClientDecrypt, end - dec_ns, end));
+    }
+}
+
+/// Instrumentation of [`run_tcp_query_observed`]: retry counters and
+/// the paper's client-side phases into `obs`, spans through `tracer`.
+struct QueryTrace<'a> {
+    obs: &'a QueryObs,
+    tracer: Tracer,
+}
+
+impl AttemptObserver for QueryTrace<'_> {
+    fn now_ns(&self) -> u64 {
+        self.tracer.now_ns()
+    }
+
+    fn attempt_started(&self) {
+        self.obs.retry_attempts.inc();
+    }
+
+    fn attempt_failed(&self) {
+        self.obs.retry_failures.inc();
+    }
+
+    /// One `encrypt_batch` span per batch sent ([`Phase::ClientEncrypt`],
+    /// tagged with its sequence number), one `wire_blocked` span
+    /// ([`Phase::Comm`]), one `decrypt` span ([`Phase::ClientDecrypt`]).
+    /// The histograms record the same `Duration`s the spans carry, so a
+    /// `/metrics` scrape and the reconstructed [`RunReport`] agree
+    /// exactly (not just within timer noise).
+    fn succeeded(&self, t: &AttemptTiming) {
+        for (seq, elapsed) in (t.first_seq..).zip(&t.sent.per_batch_encrypt) {
+            self.obs.client_encrypt.record_duration(*elapsed);
+            let end_ns = self.tracer.now_ns();
+            let dur_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+            self.tracer.record_span(SpanRecord {
+                name: "encrypt_batch".to_string(),
+                phase: Some(Phase::ClientEncrypt),
+                session: None,
+                batch: Some(seq),
+                start_ns: end_ns.saturating_sub(dur_ns),
+                end_ns,
+                trace: None,
+            });
+        }
+        self.obs.comm.record_duration(t.blocked);
+        self.tracer
+            .record_phase_total("wire_blocked", Phase::Comm, None, t.blocked);
+        self.obs.client_decrypt.record_duration(t.decrypt);
+        self.tracer
+            .record_phase_total("decrypt", Phase::ClientDecrypt, None, t.decrypt);
     }
 }
 
@@ -219,15 +310,16 @@ fn index_source<'a>(config: &TcpQueryConfig, rng: &'a mut dyn RngCore) -> IndexS
 /// from its checkpoint; fall back to a full query (size discovery,
 /// `Hello`, every batch) on the same connection when the checkpoint is
 /// gone or this is the first attempt.
-fn resumable_attempt<S: Read + Write>(
-    wire: &mut StreamWire<S>,
+fn resumable_attempt<W: Wire>(
+    wire: &mut TimedWire<W>,
     client: &SumClient,
     select: &[usize],
     config: &TcpQueryConfig,
     rng: &mut dyn RngCore,
     state: &mut AttemptState,
-    leg: Option<&LegTrace<'_>>,
+    observer: Option<&dyn AttemptObserver>,
 ) -> Result<Uint, ProtocolError> {
+    let mut resumed_at = None;
     if let Some(sid) = state.session {
         wire.send(
             Resume {
@@ -240,65 +332,64 @@ fn resumable_attempt<S: Read + Write>(
         let ack = ResumeAck::decode(&wire.recv()?)?;
         if ack.granted {
             state.resumed_attempts += 1;
-            let selection = state
-                .selection
-                .as_ref()
-                .expect("a ticket implies a prior Hello, which implies a selection");
-            // Fresh randomness for the re-encrypted tail: the resumed
-            // stream is as indistinguishable as a fresh query.
-            let mut source = index_source(config, rng);
-            let stream_start = leg.map(|l| l.tracer.now_ns());
-            client.stream_batches(
-                wire,
-                selection,
-                config.batch_size,
-                &mut source,
-                ack.next_seq,
-            )?;
-            let stream_end = leg.map(|l| l.tracer.now_ns());
-            let (sum, decrypt) = client.receive_result(wire)?;
-            if let (Some(l), Some(s), Some(e)) = (leg, stream_start, stream_end) {
-                l.record_phases(s, e, decrypt);
+            resumed_at = Some(ack.next_seq);
+        } else {
+            // Checkpoint gone (TTL, capacity, restart). The server is
+            // back at AwaitHello on this very connection; fall through to
+            // a full re-issue without reconnecting.
+            state.session = None;
+        }
+    }
+
+    let first_seq = match resumed_at {
+        Some(next_seq) => next_seq,
+        None => {
+            if state.n.is_none() {
+                wire.send(SizeRequest.encode()?)?;
+                let n = SizeReply::decode(&wire.recv()?)?.n as usize;
+                state.selection = Some(Selection::from_indices(n, select)?);
+                state.n = Some(n);
             }
-            return Ok(sum);
+            let selection = state.selection.as_ref().expect("set above");
+            if config.batch_size == 0 {
+                return Err(ProtocolError::Config("batch size must be positive".into()));
+            }
+            wire.send(
+                Hello {
+                    modulus: client.keypair().public.n().clone(),
+                    total: selection.len() as u64,
+                    batch_size: config.batch_size.min(u32::MAX as usize) as u32,
+                    trace: config.trace,
+                }
+                .encode()?,
+            )?;
+            // Read the HelloAck eagerly — the ticket must be in hand
+            // *before* the stream starts, or a disconnect mid-stream
+            // leaves nothing to resume with.
+            state.session = Some(HelloAck::decode(&wire.recv()?)?.session_id);
+            0
         }
-        // Checkpoint gone (TTL, capacity, restart). The server is back
-        // at AwaitHello on this very connection; fall through to a full
-        // re-issue without reconnecting.
-        state.session = None;
-    }
-
-    if state.n.is_none() {
-        wire.send(SizeRequest.encode()?)?;
-        let n = SizeReply::decode(&wire.recv()?)?.n as usize;
-        state.selection = Some(Selection::from_indices(n, select)?);
-        state.n = Some(n);
-    }
-    let selection = state.selection.as_ref().expect("set above");
-
-    if config.batch_size == 0 {
-        return Err(ProtocolError::Config("batch size must be positive".into()));
-    }
-    wire.send(
-        Hello {
-            modulus: client.keypair().public.n().clone(),
-            total: selection.len() as u64,
-            batch_size: config.batch_size.min(u32::MAX as usize) as u32,
-            trace: config.trace,
-        }
-        .encode()?,
-    )?;
-    // Read the HelloAck eagerly — the ticket must be in hand *before*
-    // the stream starts, or a disconnect mid-stream leaves nothing to
-    // resume with.
-    state.session = Some(HelloAck::decode(&wire.recv()?)?.session_id);
+    };
+    let selection = state
+        .selection
+        .as_ref()
+        .expect("a granted resume or a fresh Hello implies a selection");
+    // Fresh randomness for a resumed tail too: the resumed stream is as
+    // indistinguishable as a fresh query.
     let mut source = index_source(config, rng);
-    let stream_start = leg.map(|l| l.tracer.now_ns());
-    client.stream_batches(wire, selection, config.batch_size, &mut source, 0)?;
-    let stream_end = leg.map(|l| l.tracer.now_ns());
+    let stream_start_ns = observer.map_or(0, |o| o.now_ns());
+    let sent = client.stream_batches(wire, selection, config.batch_size, &mut source, first_seq)?;
+    let stream_end_ns = observer.map_or(0, |o| o.now_ns());
     let (sum, decrypt) = client.receive_result(wire)?;
-    if let (Some(l), Some(s), Some(e)) = (leg, stream_start, stream_end) {
-        l.record_phases(s, e, decrypt);
+    if let Some(o) = observer {
+        o.succeeded(&AttemptTiming {
+            first_seq,
+            sent,
+            stream_start_ns,
+            stream_end_ns,
+            decrypt,
+            blocked: wire.blocked(),
+        });
     }
     Ok(sum)
 }
@@ -327,7 +418,14 @@ where
     S: Read + Write,
     F: FnMut(u32) -> Result<StreamWire<S>, ProtocolError>,
 {
-    let raw = run_stream_query_raw(connect, client, select, config, rng, None, None)?;
+    narrow(run_stream_query_raw(
+        connect, client, select, config, rng, None, None,
+    )?)
+}
+
+/// Converts a raw outcome for a caller whose sum fits `u128` (every
+/// unblinded query).
+fn narrow(raw: RawQueryOutcome) -> Result<TcpQueryOutcome, ProtocolError> {
     let sum = raw
         .sum
         .to_u128()
@@ -343,11 +441,12 @@ where
     })
 }
 
-/// The engine under [`run_stream_query_with_resume`]: same retry/resume
-/// loop, but the sum stays a full-width [`Uint`] and an optional
-/// [`PresetQuery`] skips size discovery. Shard legs use both: blinded
-/// partials don't fit `u128`, and the fan-out engine already knows each
-/// shard's size and local selection.
+/// The engine under every query driver: the retry/resume loop, with
+/// the sum kept a full-width [`Uint`], an optional [`PresetQuery`] that
+/// skips size discovery, and an optional [`AttemptObserver`]. Shard legs
+/// use all three: blinded partials don't fit `u128`, the fan-out engine
+/// already knows each shard's size and local selection, and traced legs
+/// record their phases.
 pub(crate) fn run_stream_query_raw<S, F>(
     connect: &mut F,
     client: &SumClient,
@@ -355,7 +454,7 @@ pub(crate) fn run_stream_query_raw<S, F>(
     config: &TcpQueryConfig,
     rng: &mut dyn RngCore,
     preset: Option<PresetQuery>,
-    leg: Option<&LegTrace<'_>>,
+    observer: Option<&dyn AttemptObserver>,
 ) -> Result<RawQueryOutcome, ProtocolError>
 where
     S: Read + Write,
@@ -388,11 +487,17 @@ where
     let mut attempt_payload_bytes = Vec::new();
     loop {
         retry.attempts += 1;
+        if let Some(o) = observer {
+            o.attempt_started();
+        }
         let outcome = match connect(retry.attempts) {
-            Ok(mut wire) => {
-                let r = resumable_attempt(&mut wire, client, select, config, rng, &mut state, leg);
-                attempt_payload_bytes.push(wire.stats().payload_bytes_sent);
-                r.map(|sum| (sum, wire.stats()))
+            Ok(wire) => {
+                let mut wire = TimedWire::new(wire);
+                let r =
+                    resumable_attempt(&mut wire, client, select, config, rng, &mut state, observer);
+                let traffic = wire.get_ref().stats();
+                attempt_payload_bytes.push(traffic.payload_bytes_sent);
+                r.map(|sum| (sum, traffic))
             }
             Err(e) => Err(e),
         };
@@ -409,7 +514,11 @@ where
                 });
             }
             Err(e) => {
-                if !retryable(&e) || retry.attempts >= config.retry.max_attempts.max(1) {
+                let retryable = retryable(&e);
+                if let Some(o) = observer.filter(|_| retryable) {
+                    o.attempt_failed();
+                }
+                if !retryable || retry.attempts >= config.retry.max_attempts.max(1) {
                     return Err(e);
                 }
                 let delay = config.retry.delay_for(retry.attempts - 1, rng);
@@ -484,77 +593,14 @@ pub fn run_tcp_query_with_retry(
     )
 }
 
-/// One *instrumented* query attempt: like [`attempt`], but over a
-/// [`TimedWire`] (so time blocked on the socket is measured), with wire
-/// byte counters attached, and — on success — the client-side phases
-/// recorded into `obs` histograms and emitted as spans through `tracer`:
-/// one `encrypt_batch` span per batch (tagged [`Phase::ClientEncrypt`]
-/// with its batch id), one `wire_blocked` span ([`Phase::Comm`]), one
-/// `decrypt` span ([`Phase::ClientDecrypt`]).
-fn attempt_observed(
-    addr: &str,
-    client: &SumClient,
-    select: &[usize],
-    config: &TcpQueryConfig,
-    rng: &mut dyn RngCore,
-    obs: &QueryObs,
-    tracer: &Tracer,
-) -> Result<(u128, usize, TrafficStats), ProtocolError> {
-    let mut inner = TcpWire::connect(addr)?;
-    inner.set_metrics(obs.wire.clone());
-    inner.set_read_timeout(config.read_timeout)?;
-    inner.set_write_timeout(config.write_timeout)?;
-    let mut wire = TimedWire::new(inner);
-
-    wire.send(SizeRequest.encode()?)?;
-    let n = SizeReply::decode(&wire.recv()?)?.n as usize;
-    let selection = Selection::from_indices(n, select)?;
-
-    let mut source = if config.client_threads > 1 {
-        IndexSource::FreshParallel {
-            rng,
-            threads: config.client_threads,
-        }
-    } else {
-        IndexSource::Fresh(rng)
-    };
-    let sent = client.send_query(&mut wire, &selection, config.batch_size, &mut source)?;
-    let (sum, decrypt) = client.receive_result(&mut wire)?;
-    let comm = wire.blocked();
-
-    // Record the paper's client-side phases from the same Durations the
-    // span bridge will sum, so a /metrics scrape and a reconstructed
-    // RunReport agree exactly (not just within timer noise).
-    for (batch, elapsed) in sent.per_batch_encrypt.iter().enumerate() {
-        obs.client_encrypt.record_duration(*elapsed);
-        let end_ns = tracer.now_ns();
-        let dur_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        tracer.record_span(SpanRecord {
-            name: "encrypt_batch".to_string(),
-            phase: Some(Phase::ClientEncrypt),
-            session: None,
-            batch: Some(batch as u64),
-            start_ns: end_ns.saturating_sub(dur_ns),
-            end_ns,
-            trace: None,
-        });
-    }
-    obs.comm.record_duration(comm);
-    tracer.record_phase_total("wire_blocked", Phase::Comm, None, comm);
-    obs.client_decrypt.record_duration(decrypt);
-    tracer.record_phase_total("decrypt", Phase::ClientDecrypt, None, decrypt);
-
-    let sum = sum
-        .to_u128()
-        .ok_or_else(|| ProtocolError::Config("sum exceeds 128 bits".into()))?;
-    Ok((sum, n, wire.get_ref().stats()))
-}
-
 /// Runs one private selected-sum query over TCP with full telemetry:
-/// retries as [`run_tcp_query_with_retry`] does, records the paper's
-/// client-side phase decomposition into `obs`, and reconstructs a
-/// [`RunReport`] from the spans of the successful attempt via
-/// [`PhaseTotals`].
+/// retries and resumes exactly as [`run_tcp_query_with_retry`] does,
+/// counts attempts and retryable failures in `obs`, records the paper's
+/// client-side phase decomposition of the successful attempt into its
+/// histograms, and reconstructs a [`RunReport`] from that attempt's
+/// spans via [`PhaseTotals`]. A `config.trace` context travels on the
+/// `Hello`/`Resume` (so the server's spans carry it) and stamps the
+/// client's spans too.
 ///
 /// The report's `client_encrypt`, `comm`, and `client_decrypt` come
 /// from this client's own spans. `server_compute` is zero unless the
@@ -576,62 +622,49 @@ pub fn run_tcp_query_observed(
     // Private ring for the span→report bridge, teed into the caller's
     // collector so shared-collector deployments see the same spans.
     let ring = Arc::new(RingCollector::new(4096));
-    let tracer = Tracer::new(Arc::new(TeeCollector::new(vec![
+    let mut tracer = Tracer::new(Arc::new(TeeCollector::new(vec![
         Arc::clone(&ring) as Arc<dyn Collector>,
         Arc::clone(obs.collector()),
     ])));
-    let mut retry = RetryStats::default();
-    loop {
-        retry.attempts += 1;
-        obs.retry_attempts.inc();
-        match attempt_observed(addr, client, select, config, rng, obs, &tracer) {
-            Ok((sum, n, traffic)) => {
-                let mut report = RunReport {
-                    variant: Variant::Batched,
-                    n,
-                    selected: select.len(),
-                    key_bits: client.keypair().public.key_bits(),
-                    link: format!("tcp:{addr}"),
-                    client_offline: Duration::ZERO,
-                    client_encrypt: Duration::ZERO,
-                    server_compute: Duration::ZERO,
-                    comm: Duration::ZERO,
-                    client_decrypt: Duration::ZERO,
-                    pipelined_total: None,
-                    bytes_to_server: traffic.payload_bytes_sent,
-                    bytes_to_client: traffic.payload_bytes_received,
-                    messages: traffic.messages_sent + traffic.messages_received,
-                    result: sum,
-                };
-                PhaseTotals::from_spans(ring.spans().iter()).apply(&mut report);
-                // The observed path keeps its span accounting simple by
-                // re-issuing in full on retry, so it never resumes.
-                let attempt_payload_bytes = vec![traffic.payload_bytes_sent];
-                let outcome = TcpQueryOutcome {
-                    sum,
-                    n,
-                    selected: select.len(),
-                    traffic,
-                    retry,
-                    resumed_attempts: 0,
-                    attempt_payload_bytes,
-                };
-                return Ok((outcome, report));
-            }
-            Err(e) => {
-                let give_up = !retryable(&e) || retry.attempts >= config.retry.max_attempts.max(1);
-                if retryable(&e) {
-                    obs.retry_failures.inc();
-                }
-                if give_up {
-                    return Err(e);
-                }
-                let delay = config.retry.delay_for(retry.attempts - 1, rng);
-                retry.delays.push(delay);
-                config.clock.sleep(delay);
-            }
-        }
+    if let Some(ctx) = config.trace {
+        tracer = tracer.with_context(ctx);
     }
+    let observer = QueryTrace { obs, tracer };
+    let mut tcp = tcp_connector(addr, config);
+    let mut connect = |attempt| {
+        let mut wire = tcp(attempt)?;
+        wire.set_metrics(obs.wire.clone());
+        Ok(wire)
+    };
+    let raw = run_stream_query_raw(
+        &mut connect,
+        client,
+        select,
+        config,
+        rng,
+        None,
+        Some(&observer),
+    )?;
+    let outcome = narrow(raw)?;
+    let mut report = RunReport {
+        variant: Variant::Batched,
+        n: outcome.n,
+        selected: outcome.selected,
+        key_bits: client.keypair().public.key_bits(),
+        link: format!("tcp:{addr}"),
+        client_offline: Duration::ZERO,
+        client_encrypt: Duration::ZERO,
+        server_compute: Duration::ZERO,
+        comm: Duration::ZERO,
+        client_decrypt: Duration::ZERO,
+        pipelined_total: None,
+        bytes_to_server: outcome.traffic.payload_bytes_sent,
+        bytes_to_client: outcome.traffic.payload_bytes_received,
+        messages: outcome.traffic.messages_sent + outcome.traffic.messages_received,
+        result: outcome.sum,
+    };
+    PhaseTotals::from_spans(ring.spans().iter()).apply(&mut report);
+    Ok((outcome, report))
 }
 
 #[cfg(test)]

@@ -57,7 +57,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use pps_bignum::MultiExpPlan;
 use pps_transport::{TcpWire, TransportError, Wire, WireMetrics};
 
 use crate::data::Database;
@@ -66,7 +65,7 @@ use crate::flow::SessionFlow;
 use crate::obs::ServerObs;
 use crate::plan::FoldPlanCache;
 use crate::resume::{ResumptionConfig, SessionTable};
-use crate::server::{FoldStrategy, ServerStats};
+use crate::server::{Fold, FoldStrategy, ServerSession, ServerStats};
 
 /// Locks a mutex, recovering from poison. Every value guarded in this
 /// module (aggregate counters, the admission gate count) is valid at
@@ -663,17 +662,23 @@ impl TcpServer {
         })
     }
 
-    /// Builds (or fetches from the cache) the shared fold plan when the
-    /// strategy is [`FoldStrategy::Precomputed`]: one digit table
-    /// serves every session a serve loop admits, fresh or resumed.
-    pub(crate) fn shared_plan(&self) -> Option<Arc<MultiExpPlan>> {
-        (self.fold == FoldStrategy::Precomputed).then(|| {
-            let cache: &FoldPlanCache = match &self.plan_cache {
-                Some(cache) => cache,
-                None => FoldPlanCache::global(),
-            };
-            cache.get_or_build(&self.db, self.obs.as_ref().map(|o| o.fold_plan()))
-        })
+    /// The fold every session a serve loop admits runs, fresh or
+    /// resumed. Under [`FoldStrategy::Precomputed`] its plan is built
+    /// (or fetched) once from the configured cache or the global one,
+    /// so one digit table serves them all.
+    pub(crate) fn session_fold(&self) -> Fold {
+        match self.fold {
+            FoldStrategy::Incremental => Fold::Incremental,
+            FoldStrategy::Precomputed => {
+                let cache: &FoldPlanCache = match &self.plan_cache {
+                    Some(cache) => cache,
+                    None => FoldPlanCache::global(),
+                };
+                Fold::Precomputed(
+                    cache.get_or_build(&self.db, self.obs.as_ref().map(|o| o.fold_plan())),
+                )
+            }
+        }
     }
 
     /// The event engine's worker-pool size: the configured value, or
@@ -752,10 +757,7 @@ impl TcpServer {
     ) -> AggregateStats {
         let start = Instant::now();
         let checkpoints_evicted_before = self.resumption.evicted();
-        // One shared plan for every session this loop admits (fresh or
-        // resumed): built at most once per database process-wide, via
-        // the configured cache or the global one.
-        let plan = self.shared_plan();
+        let fold = self.session_fold();
         let agg = Mutex::new(AggregateStats::default());
         // Admission gate: slot/queue counts + wakeup for queued waiters.
         let gate = (Mutex::new(GateState::default()), Condvar::new());
@@ -831,8 +833,7 @@ impl TcpServer {
                 let active_now = &active_now;
                 let peak = &peak;
                 let db = &*self.db;
-                let fold = self.fold;
-                let plan = plan.as_ref();
+                let fold = &fold;
                 let limits = &self.limits;
                 let table = &self.resumption;
                 let require_shard = self.require_shard;
@@ -925,8 +926,8 @@ impl TcpServer {
                             hook(id);
                         }
                         let wire_metrics = obs.map(|o| o.wire.clone());
-                        let mut flow =
-                            SessionFlow::new(db, fold, plan.cloned(), table, require_shard);
+                        let session = ServerSession::folding(db, fold.clone());
+                        let mut flow = SessionFlow::new(session, table, require_shard);
                         let result =
                             drive_connection(&mut flow, stream, limits, deadline, wire_metrics);
                         // Stamp the peer's announced trace context onto
@@ -1199,7 +1200,7 @@ mod tests {
     fn serves_sequential_sessions_and_aggregates() {
         let db = Arc::new(Database::new(vec![10, 20, 30, 40, 50]).unwrap());
         let server =
-            TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::MultiExp).unwrap();
+            TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::Precomputed).unwrap();
         let addr = server.local_addr().unwrap();
 
         let clients = std::thread::spawn(move || {
@@ -1419,7 +1420,7 @@ mod tests {
     #[test]
     fn event_engine_serves_sessions_end_to_end() {
         let db = Arc::new(Database::new(vec![10, 20, 30, 40, 50]).unwrap());
-        let server = TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::MultiExp)
+        let server = TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::Precomputed)
             .unwrap()
             .with_engine(ServeEngine::Event)
             .with_workers(2);

@@ -19,7 +19,7 @@ use bytes::{Bytes, BytesMut};
 use pps_obs::{names, Counter, Gauge, Registry, VirtualClock};
 use pps_protocol::messages::{HelloAck, MsgType, Resume, ResumeAck};
 use pps_protocol::{
-    Database, FoldStrategy, ResumptionConfig, SessionFlow, SessionTable, SumClient,
+    Database, ResumptionConfig, ServerSession, SessionFlow, SessionTable, SumClient,
 };
 use pps_transport::{Frame, LinkProfile};
 use rand::rngs::StdRng;
@@ -939,9 +939,7 @@ impl<'a> Runner<'a> {
             conn,
             ServerConn {
                 flow: SessionFlow::new(
-                    &self.dbs[server],
-                    FoldStrategy::Incremental,
-                    None,
+                    ServerSession::new(&self.dbs[server]),
                     &self.tables[server],
                     server > 0,
                 ),

@@ -16,13 +16,16 @@
 //!
 //! [`FaultSchedule`]: pps_transport::FaultSchedule
 
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use pps_obs::Registry;
+use pps_obs::{names, Phase, Registry};
 use pps_protocol::{
-    run_tcp_query_with_retry, FoldStrategy, ResumptionConfig, ServerObs, SessionEvent, SumClient,
-    TcpServer,
+    run_tcp_query_observed, run_tcp_query_with_retry, FoldStrategy, QueryObs, ResumptionConfig,
+    ServerObs, SessionEvent, SumClient, TcpServer,
 };
 use pps_sim::harness::chaos::{config, database, expected_sum, faulty_query, selection, BATCH};
 use pps_transport::{Fault, FaultSchedule, RetryPolicy};
@@ -43,7 +46,7 @@ fn scripted_disconnects_resume_with_fewer_bytes_resent() {
         let kill_at = 3 + seed % 7;
 
         let registry = Arc::new(Registry::new());
-        let server = TcpServer::bind(database(), "127.0.0.1:0", FoldStrategy::MultiExp)
+        let server = TcpServer::bind(database(), "127.0.0.1:0", FoldStrategy::Precomputed)
             .unwrap()
             .with_observability(ServerObs::new(Arc::clone(&registry)));
         let addr = server.local_addr().unwrap();
@@ -121,6 +124,113 @@ fn scripted_disconnects_resume_with_fewer_bytes_resent() {
             "seed {seed}"
         );
     }
+}
+
+/// Relays two connections from `listener` to `server`. The first is
+/// cut in both directions once the client has sent `cut_after` bytes;
+/// the second is accepted only once `gate` fires and passes through
+/// untouched. This kills a driver that dials TCP itself mid-stream,
+/// where no fault schedule can be injected.
+fn cutting_relay(listener: TcpListener, server: SocketAddr, cut_after: usize, gate: Receiver<()>) {
+    std::thread::scope(|s| {
+        for (i, limit) in [cut_after, usize::MAX].into_iter().enumerate() {
+            if i == 1 {
+                gate.recv().unwrap();
+            }
+            let (client, _) = listener.accept().unwrap();
+            let upstream = TcpStream::connect(server).unwrap();
+            let mut down_from = upstream.try_clone().unwrap();
+            let mut down_to = client.try_clone().unwrap();
+            s.spawn(move || std::io::copy(&mut down_from, &mut down_to));
+            s.spawn(move || {
+                let (mut from, mut to) = (client, upstream);
+                let mut buf = [0u8; 1024];
+                let mut sent = 0;
+                while sent < limit {
+                    let n = match from.read(&mut buf) {
+                        Ok(0) | Err(_) => break,
+                        Ok(n) => n.min(limit - sent),
+                    };
+                    if to.write_all(&buf[..n]).is_err() {
+                        break;
+                    }
+                    sent += n;
+                }
+                let _ = from.shutdown(Shutdown::Both);
+                let _ = to.shutdown(Shutdown::Both);
+            });
+        }
+    });
+}
+
+/// The observed driver (`pps query --trace`) retries the way the plain
+/// one does: a connection killed mid-stream resumes from the server's
+/// checkpoint, and the query's retry counters and phase histograms
+/// describe the attempt that succeeded.
+#[test]
+fn observed_query_resumes_after_a_mid_stream_kill() {
+    let server = TcpServer::bind(database(), "127.0.0.1:0", FoldStrategy::Precomputed).unwrap();
+    let addr = server.local_addr().unwrap();
+    let relay = TcpListener::bind("127.0.0.1:0").unwrap();
+    let relay_addr = relay.local_addr().unwrap();
+    // The retry reaches the server only after the killed session has
+    // ended, so every batch it received is checkpointed.
+    let (killed, gate) = mpsc::channel();
+    let stats = std::thread::scope(|scope| {
+        let server_thread = scope.spawn(|| {
+            server.serve_with(Some(3), &|e| {
+                if let SessionEvent::Failed { .. } = e {
+                    let _ = killed.send(());
+                }
+            })
+        });
+
+        let mut rng = StdRng::seed_from_u64(606);
+        let client = SumClient::generate(128, &mut rng).unwrap();
+        let cfg = config(RetryPolicy {
+            max_attempts: 4,
+            base_delay: Duration::from_millis(50),
+            max_delay: Duration::from_millis(200),
+        });
+        let observed = |addr: SocketAddr, rng: &mut StdRng| {
+            let obs = QueryObs::new(Arc::new(Registry::new()));
+            let (out, report) =
+                run_tcp_query_observed(&addr.to_string(), &client, &selection(), &cfg, rng, &obs)
+                    .unwrap();
+            assert_eq!(out.sum, expected_sum());
+            assert_eq!(report.result, expected_sum());
+            (out, obs)
+        };
+
+        // Baseline: a clean query's full payload cost, straight to the
+        // server.
+        let (clean, _) = observed(addr, &mut rng);
+        let full_bytes = clean.attempt_payload_bytes[0];
+
+        // Cut the first connection about halfway through the stream
+        // (the relay counts framed bytes, a little more than payload).
+        let relay_thread = scope.spawn(move || cutting_relay(relay, addr, full_bytes / 2, gate));
+        let (out, obs) = observed(relay_addr, &mut rng);
+        relay_thread.join().unwrap();
+        assert_eq!(out.retry.attempts, 2);
+        assert_eq!(out.resumed_attempts, 1, "resumed, not re-issued");
+        let resent = *out.attempt_payload_bytes.last().unwrap();
+        assert!(
+            resent < full_bytes,
+            "resumed attempt re-sent {resent} bytes of a {full_bytes}-byte query"
+        );
+        let registry = obs.registry();
+        let counter = |name| registry.counter(name, "").get();
+        assert_eq!(counter(names::RETRY_ATTEMPTS_TOTAL), 2);
+        assert_eq!(counter(names::RETRY_FAILURES_TOTAL), 1);
+        // The histograms cover the successful attempt: only the re-sent
+        // tail of the 12 batches.
+        let batches = registry.phase_histogram(Phase::ClientEncrypt).count();
+        assert!((1..12).contains(&batches), "{batches} batches re-sent");
+        server_thread.join().unwrap()
+    });
+    assert_eq!(stats.failed, 1, "the killed connection");
+    assert_eq!(stats.resumed, 1);
 }
 
 /// A checkpoint that outlives its TTL is pruned; the resume is refused

@@ -1,17 +1,17 @@
 //! Fold-strategy parity: for random databases, selections, and batch
-//! geometries, every server fold strategy — the paper's incremental
-//! loop, Straus multi-exponentiation, its parallel variant, and the
-//! precomputed per-database plan — decrypts to the **bit-identical**
-//! selected sum, which equals the plaintext oracle. The same encrypted
-//! frames are replayed into every strategy's session, so any divergence
-//! is the fold's fault, not the randomness's.
+//! geometries, both server fold strategies — the paper's incremental
+//! loop (the reference) and the precomputed per-database plan (the
+//! production path) — decrypt to the **bit-identical** selected sum,
+//! which equals the plaintext oracle. The same encrypted frames are
+//! replayed into each strategy's session, so any divergence is the
+//! fold's fault, not the randomness's.
 //!
 //! Also proves the resume story for [`FoldStrategy::Precomputed`]: a
 //! checkpoint taken mid-stream under the plan resumes correctly —
 //! through a rebuilt plan, through a caller-shared plan, and across
-//! strategies in both directions (the checkpoint is strategy-agnostic
-//! by construction, so cross-strategy resume is *correct*, not
-//! rejected).
+//! strategies in both directions, `Incremental ↔ Precomputed` (the
+//! checkpoint is strategy-agnostic by construction, so cross-strategy
+//! resume is *correct*, not rejected).
 
 use std::sync::{Arc, OnceLock};
 
@@ -92,23 +92,18 @@ proptest! {
         let frames = encode_query(&bits, batch, &mut rng);
 
         let (inc, inc_bytes) = replay(&db, &frames, FoldStrategy::Incremental);
-        let (me, me_bytes) = replay(&db, &frames, FoldStrategy::MultiExp);
-        let (par, par_bytes) = replay(&db, &frames, FoldStrategy::ParallelMultiExp);
         let (pre, pre_bytes) = replay(&db, &frames, FoldStrategy::Precomputed);
 
         prop_assert_eq!(inc, oracle);
-        prop_assert_eq!(me, oracle);
-        prop_assert_eq!(par, oracle);
         prop_assert_eq!(pre, oracle);
         // Bit-identical plaintexts, not merely equal u128 projections.
         prop_assert_eq!(&pre_bytes, &inc_bytes);
-        prop_assert_eq!(&pre_bytes, &me_bytes);
-        prop_assert_eq!(&pre_bytes, &par_bytes);
     }
 
     /// A checkpoint taken under `Precomputed` mid-stream resumes
-    /// correctly — under a rebuilt plan, a shared plan, or any *other*
-    /// strategy — and every resumed path decrypts to the oracle sum.
+    /// correctly — under a rebuilt plan, a shared plan, or the *other*
+    /// strategy, and back — and every resumed path decrypts to the
+    /// oracle sum.
     #[test]
     fn precomputed_checkpoints_resume_correctly_and_cross_strategy(
         values in prop::collection::vec(0u64..1_000_000, 4..32),
@@ -154,17 +149,17 @@ proptest! {
         prop_assert_eq!(finish(shared), oracle);
 
         // Cross-strategy: the checkpoint carries only accumulator and
-        // cursor, so any strategy may continue it.
-        let crossed = ServerSession::resume(&db, FoldStrategy::MultiExp, cp).unwrap();
+        // cursor, so the paper's loop may continue it.
+        let crossed = ServerSession::resume(&db, FoldStrategy::Incremental, cp).unwrap();
         prop_assert_eq!(finish(crossed), oracle);
 
-        // And the reverse direction: checkpoint under MultiExp,
+        // And the reverse direction: checkpoint under Incremental,
         // continue under Precomputed.
-        let mut me = ServerSession::with_fold(&db, FoldStrategy::MultiExp);
-        me.on_frame(&frames[0]).unwrap();
-        me.on_frame(&frames[1]).unwrap();
-        let cp_me = me.checkpoint().expect("mid-stream checkpoint");
-        let back = ServerSession::resume(&db, FoldStrategy::Precomputed, cp_me).unwrap();
+        let mut inc = ServerSession::with_fold(&db, FoldStrategy::Incremental);
+        inc.on_frame(&frames[0]).unwrap();
+        inc.on_frame(&frames[1]).unwrap();
+        let cp_inc = inc.checkpoint().expect("mid-stream checkpoint");
+        let back = ServerSession::resume(&db, FoldStrategy::Precomputed, cp_inc).unwrap();
         prop_assert_eq!(finish(back), oracle);
     }
 }

@@ -1,7 +1,7 @@
 //! Concurrent server-runtime tests: one [`TcpServer`] over loopback,
 //! several real client threads with distinct private selections, every
 //! result checked against the plaintext oracle — plus a property test
-//! that the parallel fold strategy is indistinguishable (after
+//! that the precomputed fold strategy is indistinguishable (after
 //! decryption) from the paper's incremental loop.
 
 use std::net::SocketAddr;
@@ -38,14 +38,10 @@ fn four_concurrent_sessions_with_distinct_selections() {
     let values: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..10_000)).collect();
     let db = Arc::new(Database::new(values).unwrap());
 
-    // Exercise the parallel fold end to end (on a single-core host it
-    // falls back to the sequential chain — same answers either way).
-    let server = TcpServer::bind(
-        Arc::clone(&db),
-        "127.0.0.1:0",
-        FoldStrategy::ParallelMultiExp,
-    )
-    .unwrap();
+    // Exercise the production fold end to end: every session shares the
+    // server's one precomputed plan.
+    let server =
+        TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::Precomputed).unwrap();
     let addr = server.local_addr().unwrap();
 
     // Four clients, each selecting a different residue class mod 4, plus
@@ -95,7 +91,8 @@ fn sessions_overlap_in_time() {
     // connects second and must complete while the first is still open —
     // the thread-per-connection runtime must not serialize them.
     let db = Arc::new(Database::new(vec![5, 6, 7, 8]).unwrap());
-    let server = TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::MultiExp).unwrap();
+    let server =
+        TcpServer::bind(Arc::clone(&db), "127.0.0.1:0", FoldStrategy::Precomputed).unwrap();
     let addr = server.local_addr().unwrap();
 
     let slow = std::thread::spawn(move || {
@@ -177,10 +174,10 @@ fn fold_with(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The parallel fold must decrypt to exactly the incremental fold's
-    /// sum (and the oracle's) for random databases and selections.
+    /// The precomputed fold must decrypt to exactly the incremental
+    /// fold's sum (and the oracle's) for random databases and selections.
     #[test]
-    fn parallel_fold_matches_incremental_and_oracle(
+    fn precomputed_fold_matches_incremental_and_oracle(
         values in prop::collection::vec(1u64..1_000_000, 1..40),
         seed in 0u64..u64::MAX,
     ) {
@@ -191,8 +188,8 @@ proptest! {
         let oracle = db.oracle_sum(&Selection::weighted(bits.clone())).unwrap();
 
         let inc = fold_with(&kp, &db, &bits, FoldStrategy::Incremental, &mut rng);
-        let par = fold_with(&kp, &db, &bits, FoldStrategy::ParallelMultiExp, &mut rng);
+        let pre = fold_with(&kp, &db, &bits, FoldStrategy::Precomputed, &mut rng);
         prop_assert_eq!(inc, oracle);
-        prop_assert_eq!(par, oracle);
+        prop_assert_eq!(pre, oracle);
     }
 }

@@ -16,13 +16,13 @@ use std::time::{Duration, Instant};
 
 use pps_bignum::Uint;
 use pps_obs::{
-    Collector, JsonValue, MetricsServer, NullCollector, Record, Registry, TraceBuffer,
-    TraceContext, Tracer,
+    Collector, JsonValue, MetricsServer, NullCollector, Record, Registry, RingCollector,
+    TraceBuffer, TraceContext, Tracer,
 };
 use pps_protocol::messages::{Hello, Resume, ShardHello};
 use pps_protocol::{
-    run_sharded_query_traced, Database, FoldStrategy, PhaseTotals, ServerObs, ShardQueryConfig,
-    SumClient, TcpQueryConfig, TcpServer, TracedShardQuery,
+    run_sharded_query_traced, run_tcp_query_observed, Database, FoldStrategy, PhaseTotals,
+    QueryObs, ServerObs, ShardQueryConfig, SumClient, TcpQueryConfig, TcpServer, TracedShardQuery,
 };
 use pps_transport::RetryPolicy;
 use rand::rngs::StdRng;
@@ -79,7 +79,7 @@ fn run_traced_query(seed: u64) -> TracedShardQuery {
             MetricsServer::start_with_traces("127.0.0.1:0", registry, Arc::clone(&traces)).unwrap();
         obs_addrs.push(metrics.addr());
         metrics_servers.push(metrics);
-        let server = TcpServer::bind(shard_db(i), "127.0.0.1:0", FoldStrategy::MultiExp)
+        let server = TcpServer::bind(shard_db(i), "127.0.0.1:0", FoldStrategy::Precomputed)
             .unwrap()
             .require_shard_handshake()
             .with_observability(obs);
@@ -309,6 +309,53 @@ fn untraced_handshake_frames_are_byte_identical_to_v2_layout() {
     .encode()
     .unwrap();
     assert_eq!(traced.payload.len(), expected.len() + 24);
+}
+
+/// A single-server observed query announces `config.trace` on its
+/// `Hello`, so the server's session span carries the trace id; the
+/// client's own phase spans are stamped with it too.
+#[test]
+fn observed_query_carries_its_trace_context_to_the_server() {
+    let server_spans = Arc::new(RingCollector::new(256));
+    let db = Arc::new(Database::new(vec![5, 6, 7, 8]).unwrap());
+    let server = TcpServer::bind(db, "127.0.0.1:0", FoldStrategy::Precomputed)
+        .unwrap()
+        .with_observability(ServerObs::with_tracer(
+            Arc::new(Registry::new()),
+            Tracer::new(Arc::clone(&server_spans) as Arc<dyn Collector>),
+        ));
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.serve(Some(1)));
+
+    let ctx = TraceContext::new(0x0b5e_77ed, 5);
+    let mut rng = StdRng::seed_from_u64(77);
+    let client = SumClient::generate(128, &mut rng).unwrap();
+    let client_spans = Arc::new(RingCollector::new(256));
+    let obs = QueryObs::with_collector(
+        Arc::new(Registry::new()),
+        Arc::clone(&client_spans) as Arc<dyn Collector>,
+    );
+    let config = TcpQueryConfig {
+        batch_size: 2,
+        trace: Some(ctx),
+        ..TcpQueryConfig::default()
+    };
+    let (out, report) =
+        run_tcp_query_observed(&addr.to_string(), &client, &[0, 3], &config, &mut rng, &obs)
+            .unwrap();
+    server_thread.join().unwrap();
+    assert_eq!(out.sum, 13);
+    assert_eq!(report.result, 13);
+
+    let session = server_spans
+        .spans()
+        .into_iter()
+        .find(|s| s.name == "session")
+        .expect("the server records a session span");
+    assert_eq!(session.trace, Some(ctx), "the trace id reached the server");
+    let spans = client_spans.spans();
+    assert!(!spans.is_empty());
+    assert!(spans.iter().all(|s| s.trace == Some(ctx)), "{spans:?}");
 }
 
 /// CI overhead guard: the disabled tracer (the default on every
